@@ -153,6 +153,7 @@ type matchBenchEntry struct {
 	BytesPerOp  int64   `json:"b_op"`
 	AllocsPerOp int64   `json:"allocs_op"`
 	WeightedLen int64   `json:"weighted_len"`
+	Workers     int     `json:"workers,omitempty"` // set on "/workers=NumCPU" entries
 }
 
 // matchBenchReport is the BENCH_matching.json document.
@@ -535,10 +536,16 @@ func benchMatching(w io.Writer, switches, radix, servers int, kernelSizes, out s
 	// budget — at 8000 it bids off a flat int32 matrix, at 8200 it falls
 	// to per-bid row rematerialization (the cliff the blocked kernel
 	// removes). Past 10000 hosts the sharded baseline is too slow to keep
-	// in a CI budget, so only the blocked kernel is measured there.
+	// in a CI budget, so only the blocked kernel is measured there. The
+	// serial entries keep their names at Workers: 1, so they align with
+	// the committed single-core trajectory whatever the host's core
+	// count; the "/workers=NumCPU" entry runs the blocked kernel at
+	// Workers: NumCPU (its bid scan split across cores past
+	// match.BidCrossover) and records the width in "workers".
 	type kernelCase struct {
-		name string
-		run  func() *match.Result
+		name, suffix string
+		workers      int
+		run          func() *match.Result
 	}
 	for _, tok := range strings.Split(kernelSizes, ",") {
 		tok = strings.TrimSpace(tok)
@@ -558,19 +565,26 @@ func benchMatching(w io.Writer, switches, radix, servers int, kernelSizes, out s
 			return err
 		}
 		n := len(dist)
-		kernels := []kernelCase{{"blocked", func() *match.Result {
-			res, _ := match.AuctionBlocked(n, match.U8Weights{Rows: func(i int) []uint8 { return dist[i] }}, match.AuctionOptions{})
-			return res
-		}}}
+		blocked := func(workers int) func() *match.Result {
+			return func() *match.Result {
+				res, _ := match.AuctionBlocked(n, match.U8Weights{Rows: func(i int) []uint8 { return dist[i] }}, match.AuctionOptions{Workers: workers})
+				return res
+			}
+		}
+		numCPU := runtime.NumCPU()
+		kernels := []kernelCase{
+			{"blocked", "", 1, blocked(1)},
+			{"blocked", "/workers=NumCPU", numCPU, blocked(numCPU)},
+		}
 		if n <= 10000 {
 			wf := func(i, j int) int64 { return int64(dist[i][j]) }
-			kernels = append(kernels, kernelCase{"sharded", func() *match.Result {
-				res, _ := match.AuctionSharded(n, wf, match.AuctionOptions{})
+			kernels = append(kernels, kernelCase{"sharded", "", 1, func() *match.Result {
+				res, _ := match.AuctionSharded(n, wf, match.AuctionOptions{Workers: 1})
 				return res
 			}})
 		}
 		perKernel := map[string]float64{}
-		totals := map[string]int64{}
+		first := len(rep.Entries)
 		for _, k := range kernels {
 			var total int64
 			r := testing.Benchmark(func(b *testing.B) {
@@ -580,25 +594,28 @@ func benchMatching(w io.Writer, switches, radix, servers int, kernelSizes, out s
 				}
 			})
 			nsOp := float64(r.NsPerOp())
-			perKernel[k.name] = nsOp
-			totals[k.name] = total
-			rep.Entries = append(rep.Entries, matchBenchEntry{
-				Name:        fmt.Sprintf("BenchmarkMatchKernel/hosts=%d/kernel=%s", n, k.name),
+			perKernel[k.name+k.suffix] = nsOp
+			entry := matchBenchEntry{
+				Name:        fmt.Sprintf("BenchmarkMatchKernel/hosts=%d/kernel=%s%s", n, k.name, k.suffix),
 				Switches:    kh,
 				Matcher:     k.name,
 				NsPerOp:     nsOp,
 				BytesPerOp:  r.AllocedBytesPerOp(),
 				AllocsPerOp: r.AllocsPerOp(),
 				WeightedLen: total,
-			})
-			fmt.Fprintf(os.Stderr, "matching kernel hosts=%d kernel=%s: %.2f ms/op, total=%d\n",
-				n, k.name, nsOp/1e6, total)
+			}
+			if k.suffix != "" {
+				entry.Workers = k.workers
+			}
+			if len(rep.Entries) > first && rep.Entries[first].WeightedLen != total {
+				return fmt.Errorf("kernels disagree at %d hosts: %s total %d != %s %d",
+					n, entry.Name, total, rep.Entries[first].Name, rep.Entries[first].WeightedLen)
+			}
+			rep.Entries = append(rep.Entries, entry)
+			fmt.Fprintf(os.Stderr, "matching kernel hosts=%d kernel=%s%s: %.2f ms/op, total=%d\n",
+				n, k.name, k.suffix, nsOp/1e6, total)
 		}
 		if s, ok := perKernel["sharded"]; ok {
-			if totals["sharded"] != totals["blocked"] {
-				return fmt.Errorf("kernels disagree at %d hosts: sharded total %d != blocked %d",
-					n, totals["sharded"], totals["blocked"])
-			}
 			rep.Speedup[fmt.Sprintf("hosts=%d", n)] = s / perKernel["blocked"]
 		}
 	}

@@ -17,6 +17,26 @@ import (
 	"dctopo/serve"
 )
 
+// Connection timeouts of the service's http.Server. A client gets
+// serveReadHeaderTimeout to finish its request headers, so a slow or
+// stalled client cannot pin a connection open, and an idle keep-alive
+// connection closes after serveIdleTimeout. There is deliberately no
+// ReadTimeout or WriteTimeout: a sync experiment request legitimately
+// runs up to -sync-deadline and its response is written only then.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the service's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // cmdServe runs the analysis as a long-running HTTP service: the
 // experiment registry behind POST /v1/experiments/{id} (sync under
 // -sync-deadline, async past it or with ?mode=async), resident what-if
@@ -90,7 +110,7 @@ func cmdServe(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(w, "topobench: serving at http://%s (store=%q, sync-deadline=%s)\n",

@@ -48,7 +48,11 @@ type U8Weights struct {
 	// views of a shared matrix or per-row caches that stay valid for
 	// the whole run. Must be safe for concurrent calls when
 	// AuctionOptions.Workers > 1 — the max-weight scan shards rows
-	// across workers.
+	// across workers. The bid scan calls Rows only from the calling
+	// goroutine, but from BidCrossover hosts up it reads every returned
+	// row from BidWorkers goroutines at once (each scanning column
+	// chunks), so a returned row must not change while the block that
+	// fetched it bids.
 	Rows func(i int) []uint8
 	// H holds the per-row multipliers (the pairwise min is taken
 	// in-register); nil means all ones.
@@ -74,7 +78,9 @@ func (uw *U8Weights) weightInRow(row []uint8, i, j int) int64 {
 // multiplier equal, the common one: tub fabrics usually have one server
 // count) and compiles the scaled weight into a 256-entry lookup table;
 // otherwise it pre-scales the per-column multipliers once so the inner
-// loop is one multiply, one min and one subtract per column.
+// loop is one multiply, one min and one subtract per column. With a
+// bidTeam attached (see bid_split.go) each round's scan is split into
+// column chunks shared with the team's helpers.
 type u8Bidder struct {
 	n       int
 	rowsFn  func(i int) []uint8
@@ -84,9 +90,15 @@ type u8Bidder struct {
 	wTab    *[256]int64 // uniform: wTab[d] = d·h₀·scale
 	hsc     []int64     // non-uniform: hsc[j] = H[j]·scale
 	rows    [auctionBlock][]uint8
-	topJ    [auctionBlock]int
-	topV    [auctionBlock]int64
-	topS    [auctionBlock]int64
+	top     bidTop
+	team    *bidTeam // nil: the calling goroutine scans every column
+}
+
+// bidTop is the top-2 state of one block's bidders over a column range:
+// best column, best value and second-best value per bidder.
+type bidTop struct {
+	J    [auctionBlock]int
+	V, S [auctionBlock]int64
 }
 
 // init prepares the bidder for an n-column instance. wTab and hsc are
@@ -129,21 +141,36 @@ func (bd *u8Bidder) init(n int, uw U8Weights, wTab *[256]int64, hsc []int64) {
 }
 
 // scan computes best/second-best objects for every bidder in blk
-// (len ≤ auctionBlock) against price, leaving the results in
-// topJ/topV/topS. Tiles run in ascending column order with the running
-// top-2 carried across tiles, so the outcome is exactly a full-row
-// ascending scan's — ties keep the lowest column, bit for bit.
+// (len ≤ auctionBlock) against price, leaving the results in top.
+// Columns run in ascending order with the running top-2 carried across
+// tiles, so the outcome is exactly a full-row ascending scan's — ties
+// keep the lowest column, bit for bit. With a team attached, the
+// calling goroutine and the helpers scan column chunks of the round,
+// and the per-chunk results merge in column order (bidTop.merge) to the
+// same bit-exact outcome.
 func (bd *u8Bidder) scan(blk []int, price []int64) {
 	for bi, i := range blk {
 		bd.rows[bi] = bd.rowsFn(i)
-		bd.topJ[bi] = -1
-		bd.topV[bi] = int64(-1) << 62
-		bd.topS[bi] = int64(-1) << 62
 	}
-	for t0 := 0; t0 < bd.n; t0 += auctionTile {
+	if bd.team != nil {
+		bd.team.scan(blk, price)
+		return
+	}
+	bd.scanRange(blk, price, 0, bd.n, &bd.top)
+}
+
+// scanRange is scan over columns [from, to) only, in auctionTile tiles
+// from from, into top. It reads bd.rows, which scan fills first.
+func (bd *u8Bidder) scanRange(blk []int, price []int64, from, to int, top *bidTop) {
+	for bi := range blk {
+		top.J[bi] = -1
+		top.V[bi] = int64(-1) << 62
+		top.S[bi] = int64(-1) << 62
+	}
+	for t0 := from; t0 < to; t0 += auctionTile {
 		t1 := t0 + auctionTile
-		if t1 > bd.n {
-			t1 = bd.n
+		if t1 > to {
+			t1 = to
 		}
 		priceT := price[t0:t1]
 		if bd.uniform {
@@ -151,7 +178,7 @@ func (bd *u8Bidder) scan(blk []int, price []int64) {
 			for bi := range blk {
 				rowT := bd.rows[bi][t0:t1]
 				priceT := priceT[:len(rowT)]
-				bestJ, bestV, secondV := bd.topJ[bi], bd.topV[bi], bd.topS[bi]
+				bestJ, bestV, secondV := top.J[bi], top.V[bi], top.S[bi]
 				for jj, d := range rowT {
 					v := int64(d)*w0 - priceT[jj]
 					// Equivalent to the strict-> top-2 update, reordered so
@@ -166,7 +193,7 @@ func (bd *u8Bidder) scan(blk []int, price []int64) {
 						bestJ = t0 + jj
 					}
 				}
-				bd.topJ[bi], bd.topV[bi], bd.topS[bi] = bestJ, bestV, secondV
+				top.J[bi], top.V[bi], top.S[bi] = bestJ, bestV, secondV
 			}
 			continue
 		}
@@ -176,7 +203,7 @@ func (bd *u8Bidder) scan(blk []int, price []int64) {
 			priceT := priceT[:len(rowT)]
 			hscT := hscT[:len(rowT)]
 			hi := bd.h[blk[bi]] * bd.scale
-			bestJ, bestV, secondV := bd.topJ[bi], bd.topV[bi], bd.topS[bi]
+			bestJ, bestV, secondV := top.J[bi], top.V[bi], top.S[bi]
 			for jj, d := range rowT {
 				m := hscT[jj]
 				if hi < m {
@@ -191,8 +218,30 @@ func (bd *u8Bidder) scan(blk []int, price []int64) {
 					secondV = v
 				}
 			}
-			bd.topJ[bi], bd.topV[bi], bd.topS[bi] = bestJ, bestV, secondV
+			top.J[bi], top.V[bi], top.S[bi] = bestJ, bestV, secondV
 		}
+	}
+}
+
+// merge folds hi — the top-2 of the column range directly above the
+// one t covers — into t for the first b bidders, with the strict->
+// rule of one ascending scan over both ranges: the higher range takes
+// the lead only on a strictly larger best, so ties keep the lowest
+// column, and the second best is the larger of the loser's best and
+// the winner's second.
+func (t *bidTop) merge(b int, hi *bidTop) {
+	for bi := 0; bi < b; bi++ {
+		if t.V[bi] >= hi.V[bi] {
+			if hi.V[bi] > t.S[bi] {
+				t.S[bi] = hi.V[bi]
+			}
+			continue
+		}
+		second := t.V[bi]
+		if hi.S[bi] > second {
+			second = hi.S[bi]
+		}
+		t.J[bi], t.V[bi], t.S[bi] = hi.J[bi], hi.V[bi], second
 	}
 }
 
@@ -349,12 +398,21 @@ func (a *blockedArena) grow(n int) {
 // the package comment for why the tiled scan preserves them). The
 // Total therefore always equals the Jonker–Volgenant optimum.
 //
-// Workers shards only the max-weight scan (bidding is serial: with
-// auctionBlock = 16 bidders per round there is no parallel width worth
-// the synchronization — the same reason AuctionSharded's sharded bid
-// path never triggers); the matching is identical for any worker
-// count. opt.Row is ignored.
+// Workers shards the max-weight scan and, from BidCrossover hosts up,
+// each round's bid scan: BidWorkers(n, Workers) goroutines scan column
+// chunks of the block's bids at once (bid_split.go) and the per-chunk
+// top-2 merge in column order, while resolution stays sequential. On 2
+// cores the split measured a median 1.47× at 6000 hosts and 1.52× at
+// 2048 (Jellyfish, DESIGN.md); below the crossover a round is only a
+// few µs of scan and the handoff ate the gain. The matching is
+// identical for any worker count. opt.Row is ignored.
 func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionStats) {
+	return auctionBlocked(n, uw, opt, BidWorkers(n, opt.Workers))
+}
+
+// auctionBlocked is AuctionBlocked with the bid-scan width given
+// explicitly, so tests can drive the column split at any size.
+func auctionBlocked(n int, uw U8Weights, opt AuctionOptions, bidWidth int) (*Result, AuctionStats) {
 	var stats AuctionStats
 	workers := opt.Workers
 	if workers <= 0 {
@@ -368,6 +426,8 @@ func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionSt
 	a.grow(n)
 	bd := &a.bd
 	bd.init(n, uw, &a.wTab, a.hsc)
+	team := bd.startTeam(bidWidth)
+	defer team.stop()
 
 	maxW := u8MaxRaw(n, uw, workers) * bd.scale
 	epsStart := maxW / 2
@@ -414,11 +474,11 @@ func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionSt
 			phaseBids += b
 			bd.scan(blk, price)
 			for bi, i := range blk {
-				bestV, secondV := bd.topV[bi], bd.topS[bi]
+				bestV, secondV := bd.top.V[bi], bd.top.S[bi]
 				if secondV < bestV-maxW { // n == 1: no second candidate
 					secondV = bestV
 				}
-				bidObj[i] = bd.topJ[bi]
+				bidObj[i] = bd.top.J[bi]
 				bidAmt[i] = bestV - secondV + eps
 			}
 			// Sequential resolution in block order — verbatim from
@@ -467,6 +527,7 @@ func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionSt
 			break
 		}
 	}
+	team.stop()
 	a.free = free[:0] // keep any growth for the next run
 
 	res := &Result{Col: assign, Row: owner}

@@ -79,24 +79,27 @@ func TestAuctionBlockedMatchesExact(t *testing.T) {
 	}
 }
 
-// requireSameRun pins the blocked kernel against the materialized
-// sharded kernel: permutation, stats and final prices all bit-equal.
+// requireSameRun pins a run against a reference run — the blocked
+// kernel against the materialized sharded kernel, or a split bid scan
+// against the serial one: permutation (Col and Row), stats and final
+// prices all bit-equal.
 func requireSameRun(t *testing.T, label string, n int, res, ref *Result, stats, refStats AuctionStats) {
 	t.Helper()
 	if res.Total != ref.Total {
-		t.Fatalf("%s: total %d != sharded %d", label, res.Total, ref.Total)
+		t.Fatalf("%s: total %d != reference %d", label, res.Total, ref.Total)
 	}
 	for i := range res.Col {
-		if res.Col[i] != ref.Col[i] {
-			t.Fatalf("%s: Col[%d]=%d != sharded %d", label, i, res.Col[i], ref.Col[i])
+		if res.Col[i] != ref.Col[i] || res.Row[i] != ref.Row[i] {
+			t.Fatalf("%s: Col[%d]=%d Row[%d]=%d != reference %d, %d", label, i, res.Col[i], i, res.Row[i], ref.Col[i], ref.Row[i])
 		}
 	}
-	if stats.Phases != refStats.Phases || stats.Rounds != refStats.Rounds || stats.Bids != refStats.Bids {
-		t.Fatalf("%s: stats %+v != sharded %+v", label, stats, refStats)
+	if stats.Phases != refStats.Phases || stats.Rounds != refStats.Rounds || stats.Bids != refStats.Bids || len(stats.Prices) != len(refStats.Prices) {
+		t.Fatalf("%s: stats %d/%d/%d (%d prices) != reference %d/%d/%d (%d prices)", label,
+			stats.Phases, stats.Rounds, stats.Bids, len(stats.Prices), refStats.Phases, refStats.Rounds, refStats.Bids, len(refStats.Prices))
 	}
 	for j, p := range stats.Prices {
 		if p != refStats.Prices[j] {
-			t.Fatalf("%s: price[%d]=%d != sharded %d", label, j, p, refStats.Prices[j])
+			t.Fatalf("%s: price[%d]=%d != reference %d", label, j, p, refStats.Prices[j])
 		}
 	}
 }
@@ -182,5 +185,28 @@ func TestAuctionBlockedAllocs(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Fatalf("AuctionBlocked allocates %.0f objects per run, want <= 8 (escaping outputs only)", allocs)
+	}
+}
+
+// TestAuctionBlockedSplitAllocs is TestAuctionBlockedAllocs with a
+// two-way bid split at Workers: 2. On top of the serial run's 5, the
+// two-way max-weight scan adds its fan-out and the team its struct,
+// chunk results, helper slice, two wake channels and one goroutine —
+// 17 in all, whatever n or the round count. The bound leaves room for
+// the race detector, whose sync.Pool drops a quarter of the pooled
+// arenas; 30 runs keep that average steady. (AllocsPerRun runs at
+// GOMAXPROCS=1, so the forced split takes its slow yield-and-park path
+// here; the count is the same.)
+func TestAuctionBlockedSplitAllocs(t *testing.T) {
+	n := 256
+	m := u8Matrix(n, 7, 3)
+	uw := U8Weights{Rows: u8Rows(m)}
+	opt := AuctionOptions{Workers: 2}
+	auctionBlocked(n, uw, opt, 2) // warm the pool
+	allocs := testing.AllocsPerRun(30, func() {
+		auctionBlocked(n, uw, opt, 2)
+	})
+	if allocs > 20 {
+		t.Fatalf("AuctionBlocked with a two-way bid split allocates %.0f objects per run, want <= 20", allocs)
 	}
 }

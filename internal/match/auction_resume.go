@@ -42,8 +42,10 @@ type AuctionWarmStart struct {
 // AuctionResumeOptions configures AuctionResume. The zero value (serial,
 // no row fast path, full max-weight scan, no round cap) is valid.
 type AuctionResumeOptions struct {
-	// Workers bounds the bidding worker pool; <= 0 means GOMAXPROCS. The
-	// matching is identical for any worker count.
+	// Workers bounds the worker pool of the max-weight scan and, on the
+	// U8 path, of the column-split bid scan from BidCrossover hosts up,
+	// as in AuctionBlocked; <= 0 means GOMAXPROCS. The matching is
+	// identical for any worker count.
 	Workers int
 	// Row, when non-nil, fills out[j] = w(i, j) for every column j in one
 	// call (see AuctionOptions.Row).
@@ -244,11 +246,9 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 		winner[j] = -1
 	}
 	touched := make([]int, 0, auctionBlock)
-	rowBufs := make([][]int64, workers)
+	var rowBuf []int64
 	if bd == nil && opt.ScaledRow == nil {
-		for s := range rowBufs {
-			rowBufs[s] = make([]int64, n)
-		}
+		rowBuf = make([]int64, n)
 	}
 
 	// bid mirrors AuctionSharded's: best/second-best against the block's
@@ -283,9 +283,15 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 		}
 	}
 
+	var team *bidTeam
+	if bd != nil {
+		team = bd.startTeam(BidWorkers(n, opt.Workers))
+		defer team.stop()
+	}
 	head := 0
 	for head < len(free) {
 		if opt.MaxRounds > 0 && st.Rounds >= opt.MaxRounds {
+			team.stop()
 			// Warm prices aren't converging; the cold auction's ε schedule
 			// handles heavy damage better. Deterministic: depends only on
 			// the round count, which is worker-independent.
@@ -312,30 +318,15 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 		if bd != nil {
 			bd.scan(blk, price)
 			for bi, i := range blk {
-				bestV, secondV := bd.topV[bi], bd.topS[bi]
+				bestV, secondV := bd.top.V[bi], bd.top.S[bi]
 				if secondV < bestV-maxW {
 					secondV = bestV
 				}
-				bidObj[i] = bd.topJ[bi]
+				bidObj[i] = bd.top.J[bi]
 				bidAmt[i] = bestV - secondV + 1 // ε = 1
 			}
-		} else if workers <= 1 || b < 64 {
-			bid(rowBufs[0], blk)
 		} else {
-			var wg sync.WaitGroup
-			chunk := (b + workers - 1) / workers
-			for s, lo := 0, 0; lo < b; s, lo = s+1, lo+chunk {
-				hi := lo + chunk
-				if hi > b {
-					hi = b
-				}
-				wg.Add(1)
-				go func(s, lo, hi int) {
-					defer wg.Done()
-					bid(rowBufs[s], blk[lo:hi])
-				}(s, lo, hi)
-			}
-			wg.Wait()
+			bid(rowBuf, blk)
 		}
 		touched = touched[:0]
 		for _, i := range blk {

@@ -27,8 +27,10 @@ const auctionMatBudget = 256 << 20
 // AuctionOptions configures AuctionSharded. The zero value (serial, no
 // row fast path, no phase callback) is valid.
 type AuctionOptions struct {
-	// Workers bounds the bidding worker pool; <= 0 means GOMAXPROCS. The
-	// matching is identical for any worker count.
+	// Workers bounds the worker pool of the sharded scans — weight
+	// materialization and the max-weight scan, plus AuctionBlocked's
+	// column-split bid scan from BidCrossover hosts up; <= 0 means
+	// GOMAXPROCS. The matching is identical for any worker count.
 	Workers int
 	// Row, when non-nil, fills out[j] = w(i, j) for every column j in one
 	// call. Weight materialization then scans a filled row instead of
@@ -67,12 +69,16 @@ type AuctionStats struct {
 //
 // Bidding proceeds in blocks: the first auctionBlock free persons (in
 // ascending index order) each compute their best bid against the block's
-// frozen prices — shardable across workers with no synchronization —
-// and the bids are then resolved sequentially in ascending person order
-// with strict comparisons, so for each object the highest bid wins and
-// ties go to the lowest-indexed bidder. The block partition and the
-// resolution order are pure functions of the free list and the frozen
-// prices, so the matching is bit-identical for every worker count.
+// frozen prices, and the bids are then resolved sequentially in
+// ascending person order with strict comparisons, so for each object
+// the highest bid wins and ties go to the lowest-indexed bidder. The
+// block partition and the resolution order are pure functions of the
+// free list and the frozen prices, so the matching is bit-identical for
+// every worker count. Workers shards the weight materialization and the
+// max-weight scan; the bids run on the calling goroutine. (A by-bidder
+// bid split, gated at 64 bidders per block, could never fire with
+// auctionBlock = 16 and was removed; AuctionBlocked splits each round
+// by column chunks instead.)
 // Bertsekas' termination argument is unaffected by within-block Jacobi
 // scheduling: every resolved block raises at least one price by ≥ ε.
 func AuctionSharded(n int, w WeightFunc, opt AuctionOptions) (*Result, AuctionStats) {
@@ -170,12 +176,9 @@ func AuctionSharded(n int, w WeightFunc, opt AuctionOptions) (*Result, AuctionSt
 		winner[j] = -1
 	}
 	touched := make([]int, 0, n)
-	// One row scratch buffer per bidding shard (unused when the matrix
-	// is materialized), reused across blocks.
-	rowBufs := make([][]int64, workers)
-	for s := range rowBufs {
-		rowBufs[s] = make([]int64, n)
-	}
+	// Row scratch buffer (unused when the matrix is materialized),
+	// reused across blocks.
+	rowBuf := make([]int64, n)
 
 	// bid computes the best and second-best objects for free[lo:hi]
 	// against the current prices. Pure reads of shared state; each bidder
@@ -248,24 +251,7 @@ func AuctionSharded(n int, w WeightFunc, opt AuctionOptions) (*Result, AuctionSt
 			blk := free[head : head+b]
 			phaseRounds++
 			phaseBids += b
-			if workers <= 1 || b < 64 {
-				bid(rowBufs[0], blk)
-			} else {
-				var wg sync.WaitGroup
-				chunk := (b + workers - 1) / workers
-				for s, lo := 0, 0; lo < b; s, lo = s+1, lo+chunk {
-					hi := lo + chunk
-					if hi > b {
-						hi = b
-					}
-					wg.Add(1)
-					go func(s, lo, hi int) {
-						defer wg.Done()
-						bid(rowBufs[s], blk[lo:hi])
-					}(s, lo, hi)
-				}
-				wg.Wait()
-			}
+			bid(rowBuf, blk)
 			// Sequential resolution in block order: strict > keeps the
 			// earliest bidder on ties, independent of how the bidding was
 			// sharded.

@@ -6,6 +6,7 @@
 package match
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -141,9 +142,10 @@ func TestAuctionShardedZeroWeights(t *testing.T) {
 // FuzzMatching cross-checks the sharded and blocked auctions against
 // Jonker–Volgenant on fuzzer-chosen integer matrices: duplicate-heavy
 // weights, tiny and odd sizes, uniform and non-uniform multipliers,
-// and both worker extremes. Any Total mismatch is a bug — all three
-// algorithms are exact — and the blocked kernel must additionally
-// reproduce the sharded run bit for bit.
+// and one to four workers, which the blocked kernel also applies as a
+// forced column split of its bid scan. Any Total mismatch is a bug —
+// all three algorithms are exact — and the blocked kernel must
+// additionally reproduce the sharded run bit for bit at every split.
 func FuzzMatching(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(6), uint8(1))
 	f.Add(uint64(2), uint8(1), uint8(0), uint8(4))
@@ -175,5 +177,10 @@ func FuzzMatching(f *testing.F) {
 		blk, blkStats := AuctionBlocked(n, U8Weights{Rows: u8Rows(d), H: h}, AuctionOptions{Workers: workers})
 		checkPerfect(t, n, w, blk)
 		requireSameRun(t, "fuzz blocked", n, blk, res, blkStats, stats)
+		// The same worker count as a forced bid-scan split: these sizes sit
+		// far below BidCrossover, where AuctionBlocked never splits.
+		split, splitStats := auctionBlocked(n, U8Weights{Rows: u8Rows(d), H: h}, AuctionOptions{Workers: workers}, workers)
+		checkPerfect(t, n, w, split)
+		requireSameRun(t, fmt.Sprintf("fuzz blocked split=%d", workers), n, split, res, splitStats, stats)
 	})
 }

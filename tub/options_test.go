@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dctopo/internal/match"
 	"dctopo/obs"
 	"dctopo/topo"
 )
@@ -97,5 +98,52 @@ func TestBoundAuctionMaxCrossover(t *testing.T) {
 	}
 	if c := o.Counter("tub.match.fallback").Value(); c != 1 {
 		t.Fatalf("explicit matcher bumped the fallback counter to %d", c)
+	}
+}
+
+// TestBoundBidWorkersAttr: the auction's tub.match span closes with the
+// bid-scan width match.BidWorkers resolves — 1 below match.BidCrossover
+// or for one worker — and the width never changes the bound.
+func TestBoundBidWorkersAttr(t *testing.T) {
+	switches := []int{80}
+	if !testing.Short() {
+		switches = append(switches, match.BidCrossover)
+	}
+	for _, sw := range switches {
+		top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: sw, Radix: 8, Servers: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref int64
+		for _, workers := range []int{1, 0} {
+			capture := &obs.Capture{}
+			res, err := Bound(top, Options{Matcher: AuctionMatcher, Workers: workers, Obs: obs.New(capture)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				ref = res.WeightedLen
+			} else if res.WeightedLen != ref {
+				t.Fatalf("switches=%d: weighted_len %d at Workers 0 != %d at Workers 1", sw, res.WeightedLen, ref)
+			}
+			want := int64(match.BidWorkers(len(top.Hosts()), workers))
+			if sw < match.BidCrossover && want != 1 {
+				t.Fatalf("switches=%d: BidWorkers = %d below the crossover", sw, want)
+			}
+			found := false
+			for _, e := range capture.Events() {
+				if e.Kind != obs.KindSpanEnd || e.Name != "tub.match" {
+					continue
+				}
+				v, ok := e.Attr("bid_workers")
+				if !ok || v != want {
+					t.Fatalf("switches=%d workers=%d: bid_workers = %v (present %v), want %d", sw, workers, v, ok, want)
+				}
+				found = true
+			}
+			if !found {
+				t.Fatalf("switches=%d: no tub.match span end captured", sw)
+			}
+		}
 	}
 }

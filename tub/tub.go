@@ -241,7 +241,8 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 		msp.End(obs.Int64("weighted_len", res.Total),
 			obs.Int("auction_phases", stats.Phases),
 			obs.Int("auction_rounds", stats.Rounds),
-			obs.Int("auction_bids", stats.Bids))
+			obs.Int("auction_bids", stats.Bids),
+			obs.Int("bid_workers", match.BidWorkers(n, opt.Workers)))
 	case GreedyMatcher:
 		res = match.Greedy(n, weight)
 		msp.End(obs.Int64("weighted_len", res.Total))
